@@ -21,8 +21,10 @@ race:
 
 # Race-enabled, non-short runs of the two packages whose goroutines share
 # work: the sharded conservative-parallel engine and the experiment runner.
+# -cpu 1,2,4 runs every test at GOMAXPROCS 1, 2 and 4, so cross-goroutine
+# races show even where the host would otherwise serialize the workers.
 race-sim:
-	$(GO) test -race ./internal/sim ./internal/exp
+	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/exp
 
 # Fleet smoke: the same fleet executed serially and on 4 worker goroutines
 # must render byte-identically — the conservative-PDES determinism

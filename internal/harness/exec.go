@@ -55,8 +55,9 @@ type runSpec struct {
 // experiment runner and returns their results in submission order, so
 // callers can assemble artifacts exactly as a serial loop would have. The
 // first error in submission order (the one a serial sweep would have
-// stopped at) fails the whole sweep.
-func runAll(ctx context.Context, ex Exec, p Params, specs []runSpec) ([]RunResult, error) {
+// stopped at) fails the whole sweep. Cells share memo's programs: each
+// (workload, scale) is generated once and replayed everywhere else.
+func runAll(ctx context.Context, ex Exec, p Params, specs []runSpec, memo *progMemo) ([]RunResult, error) {
 	return exp.Map(ctx, ex.runner(), specs,
 		func(_ int, s runSpec) string { return s.Label },
 		func(ctx context.Context, s runSpec) (RunResult, error) {
@@ -71,7 +72,7 @@ func runAll(ctx context.Context, ex Exec, p Params, specs []runSpec) ([]RunResul
 			if s.P != nil {
 				pp = *s.P
 			}
-			return RunCtx(ctx, s.Mode, s.Class, s.Spec, pp, opts)
+			return runCtx(ctx, s.Mode, s.Class, s.Spec, pp, opts, memo)
 		})
 }
 

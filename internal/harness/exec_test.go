@@ -36,11 +36,11 @@ func smokeSpecs(t *testing.T) []runSpec {
 // the one legitimately nondeterministic field and is cleared first.
 func TestRunnerMatchesSerial(t *testing.T) {
 	p := DefaultParams()
-	serial, err := runAll(context.Background(), Exec{Jobs: 1}, p, smokeSpecs(t))
+	serial, err := runAll(context.Background(), Exec{Jobs: 1}, p, smokeSpecs(t), new(progMemo))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := runAll(context.Background(), Exec{Jobs: 8}, p, smokeSpecs(t))
+	parallel, err := runAll(context.Background(), Exec{Jobs: 8}, p, smokeSpecs(t), new(progMemo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestExecTimeout(t *testing.T) {
 		t.Fatal("backprop not registered")
 	}
 	_, err := runAll(context.Background(), Exec{Jobs: 2, Timeout: 5 * time.Millisecond}, DefaultParams(),
-		[]runSpec{{Label: "timeout/backprop", Mode: ATSOnly, Class: HighlyThreaded, Spec: spec}})
+		[]runSpec{{Label: "timeout/backprop", Mode: ATSOnly, Class: HighlyThreaded, Spec: spec}}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want DeadlineExceeded", err)
 	}

@@ -63,7 +63,7 @@ func FigureBorders(ctx context.Context, ex Exec, class GPUClass, p Params) (Figu
 			})
 		}
 	}
-	runs, err := runAll(ctx, ex, p, list)
+	runs, err := runAll(ctx, ex, p, list, new(progMemo))
 	if err != nil {
 		return res, err
 	}

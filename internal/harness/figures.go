@@ -53,7 +53,7 @@ func Figure4(ctx context.Context, ex Exec, class GPUClass, p Params) (Figure4Res
 			})
 		}
 	}
-	runs, err := runAll(ctx, ex, p, list)
+	runs, err := runAll(ctx, ex, p, list, new(progMemo))
 	if err != nil {
 		return res, err
 	}
@@ -163,7 +163,7 @@ func Figure5(ctx context.Context, ex Exec, p Params) (Figure5Result, error) {
 			Mode:  BCBCC, Class: HighlyThreaded, Spec: spec,
 		})
 	}
-	runs, err := runAll(ctx, ex, p, list)
+	runs, err := runAll(ctx, ex, p, list, new(progMemo))
 	if err != nil {
 		return res, err
 	}
@@ -347,7 +347,9 @@ func Figure7(ctx context.Context, ex Exec, p Params) (Figure7Result, error) {
 			}
 		}
 	}
-	runs1, err := runAll(ctx, ex, p, wave1)
+	// Both waves run the same programs: one memo builds each once.
+	memo := new(progMemo)
+	runs1, err := runAll(ctx, ex, p, wave1, memo)
 	if err != nil {
 		return res, err
 	}
@@ -373,7 +375,7 @@ func Figure7(ctx context.Context, ex Exec, p Params) (Figure7Result, error) {
 			}
 		}
 	}
-	runs2, err := runAll(ctx, ex, p, wave2)
+	runs2, err := runAll(ctx, ex, p, wave2, memo)
 	if err != nil {
 		return res, err
 	}

@@ -176,6 +176,14 @@ func RunFleet(p Params, fp FleetParams, spec workload.Spec) (FleetResult, error)
 // cross-shard messages. Cancellation is cooperative via ctx and stops
 // every shard promptly.
 func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Spec) (FleetResult, error) {
+	// Tenants all run spec at one scale: the first builds it live, the
+	// rest replay its recipe.
+	return runFleet(ctx, p, fp, spec, new(progMemo))
+}
+
+// runFleet is RunFleetCtx with the tenants' program memo (nil: every
+// tenant builds live).
+func runFleet(ctx context.Context, p Params, fp FleetParams, spec workload.Spec, memo *progMemo) (FleetResult, error) {
 	if err := fp.Validate(); err != nil {
 		return FleetResult{}, err
 	}
@@ -206,7 +214,7 @@ func RunFleetCtx(ctx context.Context, p Params, fp FleetParams, spec workload.Sp
 			return fail(i, "start", err)
 		}
 		te.proc = proc
-		prog, err := spec.Build(proc, p.Scale)
+		prog, err := memo.build(proc, spec, p.Scale)
 		if err != nil {
 			return fail(i, "build", err)
 		}

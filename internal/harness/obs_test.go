@@ -295,7 +295,7 @@ func TestSweepTraceMerges(t *testing.T) {
 		{Label: "trace/a", Mode: BCBCC, Class: ModeratelyThreaded, Spec: spec},
 		{Label: "trace/b", Mode: BCNoBCC, Class: ModeratelyThreaded, Spec: spec},
 	}
-	if _, err := runAll(context.Background(), Exec{Jobs: 2, Trace: multi}, DefaultParams(), specs); err != nil {
+	if _, err := runAll(context.Background(), Exec{Jobs: 2, Trace: multi}, DefaultParams(), specs, new(progMemo)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -46,10 +46,12 @@ func Profile(ctx context.Context, ex Exec, p Params, workloadName string) (*prof
 	for _, cfg := range configs {
 		jobs = append(jobs, job{cfg: cfg, pr: prof.New()})
 	}
+	// Every cell runs the same program: build it once, replay it elsewhere.
+	memo := new(progMemo)
 	_, err := exp.Map(ctx, ex.runner(), jobs,
 		func(_ int, j job) string { return j.cfg.Label + "/" + workloadName },
 		func(ctx context.Context, j job) (RunResult, error) {
-			return RunCtx(ctx, j.cfg.Mode, j.cfg.Class, spec, p, RunOptions{Profiler: j.pr})
+			return runCtx(ctx, j.cfg.Mode, j.cfg.Class, spec, p, RunOptions{Profiler: j.pr}, memo)
 		})
 	if err != nil {
 		return nil, err

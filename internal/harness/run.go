@@ -151,6 +151,13 @@ func Run(mode Mode, class GPUClass, spec workload.Spec, p Params, opts RunOption
 // a specific run returns a *RunError, so parallel sweeps report exactly
 // which job broke.
 func RunCtx(ctx context.Context, mode Mode, class GPUClass, spec workload.Spec, p Params, opts RunOptions) (RunResult, error) {
+	return runCtx(ctx, mode, class, spec, p, opts, nil)
+}
+
+// runCtx is RunCtx with the sweep's program memo: memo builds (or replays)
+// the workload's program. A nil memo, or a run from a recorded trace,
+// builds on the cell's own process as RunCtx always has.
+func runCtx(ctx context.Context, mode Mode, class GPUClass, spec workload.Spec, p Params, opts RunOptions, memo *progMemo) (RunResult, error) {
 	fail := func(stage string, err error) (RunResult, error) {
 		return RunResult{}, &RunError{Workload: spec.Name, Mode: mode, Class: class, Stage: stage, Err: err}
 	}
@@ -167,6 +174,7 @@ func RunCtx(ctx context.Context, mode Mode, class GPUClass, spec workload.Spec, 
 			return fail("build", err)
 		}
 		spec = rspec
+		memo = nil
 	}
 	// With opts.Shards the system is assembled on (the only) shard of a
 	// sharded engine; the window width is irrelevant with no cross-shard
@@ -186,7 +194,7 @@ func RunCtx(ctx context.Context, mode Mode, class GPUClass, spec workload.Spec, 
 	if err != nil {
 		return fail("start", err)
 	}
-	prog, err := spec.Build(proc, p.Scale)
+	prog, err := memo.build(proc, spec, p.Scale)
 	if err != nil {
 		return fail("build", err)
 	}

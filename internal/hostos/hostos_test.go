@@ -431,3 +431,65 @@ func TestDeadProcessRefusesWork(t *testing.T) {
 		t.Error("protect in dead process should fail")
 	}
 }
+
+// mappedWordProcess returns a process with one faulted-in RW page and the
+// page's base address.
+func mappedWordProcess(tb testing.TB) (*Process, arch.Virt) {
+	tb.Helper()
+	p, err := newOS(tb).NewProcess("p")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base, err := p.Mmap(arch.PageSize, arch.PermRW)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.WriteU32(base, 1); err != nil {
+		tb.Fatal(err)
+	}
+	return p, base
+}
+
+// TestProcessU32AllocFree: scalar access to a mapped page allocates
+// nothing — the workload generators make millions of these calls.
+func TestProcessU32AllocFree(t *testing.T) {
+	p, base := mappedWordProcess(t)
+	var x uint32
+	var err error
+	if n := testing.AllocsPerRun(100, func() { x, err = p.ReadU32(base + 8) }); n != 0 {
+		t.Errorf("ReadU32: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { err = p.WriteU32(base+8, x+1) }); n != 0 {
+		t.Errorf("WriteU32: %v allocs per call, want 0", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sinkU32 keeps the benchmarked reads observable.
+var sinkU32 uint32
+
+func BenchmarkProcessReadU32(b *testing.B) {
+	p, base := mappedWordProcess(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, err := p.ReadU32(base + arch.Virt(i%1024)*4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkU32 += x
+	}
+}
+
+func BenchmarkProcessWriteU32(b *testing.B) {
+	p, base := mappedWordProcess(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.WriteU32(base+arch.Virt(i%1024)*4, uint32(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -228,36 +228,38 @@ func (p *Process) faultInHuge(vpn arch.VPN, a *vma) (*pageInfo, error) {
 
 // Read copies memory out of the process address space, faulting pages in.
 func (p *Process) Read(v arch.Virt, buf []byte) error {
-	return p.access(v, uint64(len(buf)), arch.Read, func(pa arch.Phys, b []byte) {
-		p.os.store.ReadInto(pa, b)
-	}, buf)
+	return p.access(v, arch.Read, buf)
 }
 
 // Write copies data into the process address space, faulting pages in and
 // resolving copy-on-write.
 func (p *Process) Write(v arch.Virt, data []byte) error {
-	return p.access(v, uint64(len(data)), arch.Write, func(pa arch.Phys, b []byte) {
-		p.os.store.Write(pa, b)
-	}, data)
+	return p.access(v, arch.Write, data)
 }
 
-func (p *Process) access(v arch.Virt, n uint64, kind arch.AccessKind, op func(arch.Phys, []byte), buf []byte) error {
+// access moves buf to or from process memory page by page. The store call
+// is direct, not through a callback, so escape analysis sees that buf does
+// not outlive the call and ReadU32/WriteU32 keep their word on the stack.
+func (p *Process) access(v arch.Virt, kind arch.AccessKind, buf []byte) error {
 	if p.dead {
 		return fmt.Errorf("hostos: access in dead process %q", p.name)
 	}
-	for n > 0 {
+	for len(buf) > 0 {
 		pa, err := p.Translate(v, kind)
 		if err != nil {
 			return err
 		}
 		chunk := uint64(arch.PageSize) - v.Offset()
-		if chunk > n {
-			chunk = n
+		if chunk > uint64(len(buf)) {
+			chunk = uint64(len(buf))
 		}
-		op(pa, buf[:chunk])
+		if kind == arch.Write {
+			p.os.store.Write(pa, buf[:chunk])
+		} else {
+			p.os.store.ReadInto(pa, buf[:chunk])
+		}
 		buf = buf[chunk:]
 		v += arch.Virt(chunk)
-		n -= chunk
 	}
 	return nil
 }

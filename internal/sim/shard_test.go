@@ -135,19 +135,27 @@ func fleetRun(shards, workers int, lookahead Time, events int) ([][]shardRec, *S
 	se := NewShardedEngine(shards, lookahead)
 	se.Workers = workers
 	logs := make([][]shardRec, shards)
+	// recv[k] runs on shard k when a message arrives there, so it is bound
+	// to shard k's own engine and log: Engine.Send requires a delivered
+	// callback to touch only its destination shard.
+	recv := make([]EventFunc, shards)
 	for k := 0; k < shards; k++ {
 		k := k
 		e := se.Shard(k)
-		lcg := uint64(k)*0x9e3779b97f4a7c15 + 1
-		n := 0
-		var chain, recv EventFunc
-		recv = func(now Time, arg uint64) {
+		recv[k] = func(now Time, arg uint64) {
 			logs[k] = append(logs[k], shardRec{at: now, kind: 'm', val: arg})
 			// A receipt spawns local work at a data-dependent delta.
 			e.ScheduleIntoAfter(Time(arg%97), func(now Time, arg uint64) {
 				logs[k] = append(logs[k], shardRec{at: now, kind: 'l', val: arg})
 			}, arg^0xff)
 		}
+	}
+	for k := 0; k < shards; k++ {
+		k := k
+		e := se.Shard(k)
+		lcg := uint64(k)*0x9e3779b97f4a7c15 + 1
+		n := 0
+		var chain EventFunc
 		chain = func(now Time, _ uint64) {
 			lcg = lcg*6364136223846793005 + 1442695040888963407
 			logs[k] = append(logs[k], shardRec{at: now, kind: 'l', val: lcg})
@@ -157,7 +165,7 @@ func fleetRun(shards, workers int, lookahead Time, events int) ([][]shardRec, *S
 			}
 			if n%5 == 0 {
 				dest := ShardID((k + 1) % shards)
-				e.Send(dest, now+lookahead+Time(lcg%256), recv, lcg)
+				e.Send(dest, now+lookahead+Time(lcg%256), recv[dest], lcg)
 			}
 			e.ScheduleIntoAfter(1+Time(lcg%128), chain, 0)
 		}

@@ -155,16 +155,32 @@ func Record(spec workload.Spec, scale int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg := Segment{Name: spec.Name}
+	_, seg, err := Capture(proc, spec, scale)
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{Workload: spec.Name, Scale: scale, Segments: []Segment{*seg}}, nil
+}
+
+// Capture builds spec's program live on proc — the caller's own process —
+// and returns it together with the segment that replays it: the mmap
+// sequence and fault order observed while the generator ran, the
+// post-build memory image, and the program's phases. The program keeps
+// the generator's own Verify. The segment shares its phases with the
+// program; both are read-only from here on, so one capture can feed any
+// number of concurrent replays (BuildSegment) while proc runs.
+func Capture(proc *hostos.Process, spec workload.Spec, scale int) (*accel.Program, *Segment, error) {
+	seg := &Segment{Name: spec.Name}
+	onMmap, onFault := proc.OnMmap, proc.OnFault
 	proc.OnMmap = func(base arch.Virt, size uint64, perm arch.Perm, huge bool) {
 		seg.Mmaps = append(seg.Mmaps, Mmap{Base: base, Size: size, Perm: perm, Huge: huge})
 	}
 	proc.OnFault = func(vpn arch.VPN) { seg.Faults = append(seg.Faults, vpn) }
 	prog, err := spec.Build(proc, scale)
+	proc.OnMmap, proc.OnFault = onMmap, onFault
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	proc.OnMmap, proc.OnFault = nil, nil
 	seg.Phases = prog.Phases
 
 	var vpns []arch.VPN
@@ -173,7 +189,7 @@ func Record(spec workload.Spec, scale int) (*Trace, error) {
 	for _, vpn := range vpns {
 		data, err := proc.PageBytes(vpn)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		n := len(data)
 		for n > 0 && data[n-1] == 0 {
@@ -181,7 +197,7 @@ func Record(spec workload.Spec, scale int) (*Trace, error) {
 		}
 		seg.Image = append(seg.Image, Page{VPN: vpn, Data: data[:n:n]})
 	}
-	return &Trace{Workload: spec.Name, Scale: scale, Segments: []Segment{seg}}, nil
+	return prog, seg, nil
 }
 
 // BuildSegment replays seg's recipe into a fresh process: re-reserve the
