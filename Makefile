@@ -132,22 +132,23 @@ sweep-smoke:
 	rm -f sweep-smoke-1.txt sweep-smoke-4.txt
 
 # Serve smoke: the experiment service must produce the same bytes as the
-# local CLI. One daemon per worker count (1, 2, 4 subprocesses) serves the
-# same sweep grid; each artifact is byte-compared against the in-process
-# `bctool sweep` CSV. A second submission to the last daemon must be a
-# cache hit (no re-execution, logged on stderr) with identical bytes.
+# local CLI. One daemon per pool width (-jobs 1 and 4) serves the same
+# sweep grid; each artifact is byte-compared against the in-process
+# `bctool sweep` CSV. Then a daemon at the default -jobs serves the grid
+# twice: the second submission must be a cache hit (no re-execution,
+# logged on stderr) with identical bytes.
 SERVE_SMOKE_AXES = -traffic bursty,stream -seeds 1 -modes bc-nobcc,bc-bcc -borders flat -classes moderate -csv
 serve-smoke:
 	$(GO) build -o serve-smoke-bctool ./cmd/bctool
 	./serve-smoke-bctool sweep $(SERVE_SMOKE_AXES) -quiet > serve-smoke-local.csv
-	for w in 1 2 4; do \
-		./serve-smoke-bctool serve -addr 127.0.0.1:18346 -workers $$w -quiet & pid=$$!; \
+	for j in 1 4; do \
+		./serve-smoke-bctool serve -addr 127.0.0.1:18346 -jobs $$j -quiet & pid=$$!; \
 		./serve-smoke-bctool submit -addr http://127.0.0.1:18346 -wait 10s -quiet \
-			sweep $(SERVE_SMOKE_AXES) > serve-smoke-$$w.csv || { kill $$pid; exit 1; }; \
-		cmp serve-smoke-local.csv serve-smoke-$$w.csv || { kill $$pid; exit 1; }; \
+			sweep $(SERVE_SMOKE_AXES) > serve-smoke-$$j.csv || { kill $$pid; exit 1; }; \
+		cmp serve-smoke-local.csv serve-smoke-$$j.csv || { kill $$pid; exit 1; }; \
 		kill $$pid; wait $$pid; test $$? -eq 130 || exit 1; \
 	done
-	./serve-smoke-bctool serve -addr 127.0.0.1:18346 -workers 2 -quiet & pid=$$!; \
+	./serve-smoke-bctool serve -addr 127.0.0.1:18346 -quiet & pid=$$!; \
 	./serve-smoke-bctool submit -addr http://127.0.0.1:18346 -wait 10s -quiet \
 		sweep $(SERVE_SMOKE_AXES) > serve-smoke-a.csv 2>/dev/null || { kill $$pid; exit 1; }; \
 	./serve-smoke-bctool submit -addr http://127.0.0.1:18346 -quiet \
@@ -155,7 +156,7 @@ serve-smoke:
 	grep -q "cache hit" serve-smoke-b.err || { kill $$pid; exit 1; }; \
 	cmp serve-smoke-a.csv serve-smoke-b.csv || { kill $$pid; exit 1; }; \
 	kill $$pid; wait $$pid; test $$? -eq 130
-	rm -f serve-smoke-bctool serve-smoke-local.csv serve-smoke-1.csv serve-smoke-2.csv serve-smoke-4.csv serve-smoke-a.csv serve-smoke-b.csv serve-smoke-b.err
+	rm -f serve-smoke-bctool serve-smoke-local.csv serve-smoke-1.csv serve-smoke-4.csv serve-smoke-a.csv serve-smoke-b.csv serve-smoke-b.err
 
 # Telemetry smoke: the fleet observability plane end to end. A daemon
 # answers `submit -ping`, serves a sweep, and its /v1/metrics page must
@@ -166,12 +167,12 @@ serve-smoke:
 OBS_SMOKE_AXES = -traffic bursty -seeds 1 -modes bc-nobcc,bc-bcc -borders flat -classes moderate -csv
 obs-smoke:
 	$(GO) build -o obs-smoke-bctool ./cmd/bctool
-	./obs-smoke-bctool serve -addr 127.0.0.1:18347 -workers 2 -log-level off & pid=$$!; \
+	./obs-smoke-bctool serve -addr 127.0.0.1:18347 -log-level off & pid=$$!; \
 	./obs-smoke-bctool submit -addr http://127.0.0.1:18347 -wait 10s -ping >/dev/null || { kill $$pid; exit 1; }; \
 	./obs-smoke-bctool submit -addr http://127.0.0.1:18347 -quiet \
 		sweep $(OBS_SMOKE_AXES) > obs-smoke-a.csv 2>/dev/null || { kill $$pid; exit 1; }; \
 	./obs-smoke-bctool top -addr http://127.0.0.1:18347 \
-		-require bc_daemon_info,bc_daemon_uptime_seconds,bc_daemon_queue_depth,bc_daemon_queue_capacity,bc_daemon_jobs,bc_daemon_cache_hit_ratio,bc_daemon_workers_spawned_total,bc_daemon_watch_events_total,bc_job_sweep_cells \
+		-require bc_daemon_info,bc_daemon_uptime_seconds,bc_daemon_queue_depth,bc_daemon_queue_capacity,bc_daemon_jobs,bc_daemon_cache_hit_ratio,bc_daemon_watch_events_total,bc_job_sweep_cells \
 		>/dev/null || { kill $$pid; exit 1; }; \
 	./obs-smoke-bctool submit -addr http://127.0.0.1:18347 -quiet \
 		sweep $(OBS_SMOKE_AXES) > obs-smoke-b.csv 2>/dev/null || { kill $$pid; exit 1; }; \

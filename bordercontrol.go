@@ -740,19 +740,20 @@ func SweepGrid(traces map[string]*RefTrace, names []string, modes []Mode, border
 
 // ValidateSweepCells checks a grid before anything runs: every cell must
 // carry a trace, and labels must be unique (they key the CSV and the
-// serve/worker merge). Duplicate labels surface as *DuplicateLabelError.
+// canonical-order merge). Duplicate labels surface as *DuplicateLabelError.
 func ValidateSweepCells(cells []SweepCell) error { return harness.ValidateCells(cells) }
 
 // DuplicateLabelError reports two sweep cells sharing a label.
 type DuplicateLabelError = harness.DuplicateLabelError
 
 // ModeSlug and ClassSlug are the canonical wire/label spellings of a mode
-// and class (sweep labels, the serve API, the worker protocol); ParseMode
-// and ParseClass invert them, accepting the historical CLI aliases
-// ("capi", "moderate").
+// and class (sweep labels, the serve API); ParseMode and ParseClass invert
+// them, accepting the historical CLI aliases ("capi", "moderate").
+// ParseClassAxis parses a sweep's class axis ("both" or one class).
 var (
-	ModeSlug   = harness.ModeSlug
-	ParseMode  = harness.ParseModeSlug
-	ClassSlug  = harness.ClassSlug
-	ParseClass = harness.ParseClassSlug
+	ModeSlug       = harness.ModeSlug
+	ParseMode      = harness.ParseModeSlug
+	ClassSlug      = harness.ClassSlug
+	ParseClass     = harness.ParseClassSlug
+	ParseClassAxis = harness.ParseClassAxis
 )

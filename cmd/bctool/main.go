@@ -39,13 +39,12 @@
 //	                                       sharded conservative-parallel
 //	                                       simulation (host shard + one
 //	                                       shard per tenant)
-//	bctool serve [-addr HOST:PORT] [-workers N] [-jobs N] [-queue N]
+//	bctool serve [-addr HOST:PORT] [-jobs N] [-queue N]
 //	                                       run the experiment service: an
 //	                                       HTTP job queue with an artifact
-//	                                       cache; sweep grids fan out over
-//	                                       `bctool worker` subprocesses with
-//	                                       byte-identical artifacts at any
-//	                                       worker count
+//	                                       cache; a sweep's artifact is
+//	                                       byte-identical to bctool sweep at
+//	                                       any -jobs
 //	bctool submit [-addr URL] [-wait D] run|sweep|adversary|fleet [flags]
 //	                                       submit a job to a running service,
 //	                                       stream its progress to stderr and
@@ -63,9 +62,6 @@
 //	                                       cell under relative-drift
 //	                                       thresholds; exits non-zero on any
 //	                                       drift or missing cell
-//	bctool worker                          internal: sweep-cell executor
-//	                                       spawned by serve (cells on stdin,
-//	                                       rows on stdout)
 //	bctool profile [-folded FILE] [-pprof FILE]
 //	                                       simulated-time profile of the
 //	                                       bench matrix (folded stacks or a
@@ -167,8 +163,6 @@ func main() {
 		err = fleetCmd(ctx, args)
 	case "serve":
 		err = serveCmd(ctx, args)
-	case "worker":
-		err = workerCmd(ctx)
 	case "submit":
 		err = submitCmd(ctx, args)
 	case "top":
@@ -205,13 +199,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: bctool <table1|table2|table3|fig4|fig5|fig6|fig7|borders|security|adversary|all|run|record|replay|sweep|fleet|serve|worker|submit|top|sweepdiff|profile|bench|tracecheck|list> [csv]
+	fmt.Fprintln(os.Stderr, `usage: bctool <table1|table2|table3|fig4|fig5|fig6|fig7|borders|security|adversary|all|run|record|replay|sweep|fleet|serve|submit|top|sweepdiff|profile|bench|tracecheck|list> [csv]
 	[-border NAME] [-jobs N] [-shards N] [-timeout D] [-quiet] [-stats-json FILE] [-hist] [-trace FILE] [-trace-cats LIST] [-metrics]
-	serve:     run the experiment service (-addr, -workers, -jobs, -queue, -cache-size, -watch-buffer, -log-level)
+	serve:     run the experiment service (-addr, -jobs, -queue, -cache-size, -watch-buffer, -log-level)
 	submit:    send a job to a running service and stream it (-addr, -wait, -ping, then run|sweep|adversary|fleet + flags)
 	top:       live dashboard over a running service (-addr, -interval, -once, -raw, -require FAMILIES)
-	sweepdiff: compare two sweep CSV/stats artifacts (-rel FRAC, -tol m=f,.., -stats OLD NEW); non-zero exit on drift
-	worker:    internal — sweep-cell executor spawned by serve`)
+	sweepdiff: compare two sweep CSV/stats artifacts (-rel FRAC, -tol m=f,.., -stats OLD NEW); non-zero exit on drift`)
 }
 
 // obsFlags are the observability knobs shared by run and the sweeps.
@@ -1283,6 +1276,28 @@ func sweepReplay(ctx context.Context, args []string) error {
 		return fmt.Errorf("sweep: unexpected argument %q (recorded files go in -traces)", fs.Arg(0))
 	}
 
+	// The cheap axes parse first, so a misspelt flag fails before any
+	// trace is generated.
+	ms := []bc.Mode{bc.ATSOnly, bc.FullIOMMU, bc.CAPILike, bc.BCNoBCC, bc.BCBCC}
+	if *modes != "all" {
+		ms = ms[:0]
+		for _, s := range splitList(*modes) {
+			m, err := parseMode(s)
+			if err != nil {
+				return err
+			}
+			ms = append(ms, m)
+		}
+	}
+	bs := bc.BorderDesigns()
+	if *borders != "all" {
+		bs = splitList(*borders)
+	}
+	cls, err := bc.ParseClassAxis(*classes)
+	if err != nil {
+		return fmt.Errorf("sweep: -classes: %w", err)
+	}
+
 	trs := map[string]*bc.RefTrace{}
 	var names []string
 	add := func(name string, rec *bc.RefTrace) error {
@@ -1321,33 +1336,6 @@ func sweepReplay(ctx context.Context, args []string) error {
 	}
 	if len(names) == 0 {
 		return fmt.Errorf("sweep: no traces (empty -traffic and -traces)")
-	}
-
-	ms := []bc.Mode{bc.ATSOnly, bc.FullIOMMU, bc.CAPILike, bc.BCNoBCC, bc.BCBCC}
-	if *modes != "all" {
-		ms = ms[:0]
-		for _, s := range splitList(*modes) {
-			m, err := parseMode(s)
-			if err != nil {
-				return err
-			}
-			ms = append(ms, m)
-		}
-	}
-	bs := bc.BorderDesigns()
-	if *borders != "all" {
-		bs = splitList(*borders)
-	}
-	var cls []bc.GPUClass
-	switch *classes {
-	case "both":
-		cls = []bc.GPUClass{bc.HighlyThreaded, bc.ModeratelyThreaded}
-	case "high":
-		cls = []bc.GPUClass{bc.HighlyThreaded}
-	case "moderate", "mod":
-		cls = []bc.GPUClass{bc.ModeratelyThreaded}
-	default:
-		return fmt.Errorf("sweep: unknown -classes %q (high, moderate, both)", *classes)
 	}
 
 	cells := bc.SweepGrid(trs, names, ms, bs, cls, bc.DefaultParams(), *shards)

@@ -1,6 +1,5 @@
-// The experiment-service commands: `bctool serve` runs the HTTP daemon,
-// `bctool submit` is its client, `bctool worker` is the internal
-// sweep-cell executor serve spawns per shard of a fanned-out grid.
+// The experiment-service commands: `bctool serve` runs the HTTP daemon and
+// `bctool submit` is its client.
 
 package main
 
@@ -45,8 +44,7 @@ func buildLogger(level string) (*slog.Logger, error) {
 func serveCmd(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8373", "listen address")
-	workers := fs.Int("workers", 0, "worker subprocesses per sweep job (0 = in-process); artifacts are byte-identical at any setting")
-	jobs := fs.Int("jobs", 0, "host parallelism within a job or worker (0 = all cores)")
+	jobs := fs.Int("jobs", 0, "host parallelism within a job (0 = all cores); artifacts are byte-identical at any setting")
 	queue := fs.Int("queue", 0, "job queue depth (0 = default 32); beyond it submissions get 503")
 	cacheSize := fs.Int("cache-size", 0, "artifact cache entries (0 = default 128, negative disables)")
 	watchBuf := fs.Int("watch-buffer", 0, "/v1/watch event ring size (0 = default 1024); slow subscribers past it see drop markers")
@@ -64,7 +62,6 @@ func serveCmd(ctx context.Context, args []string) error {
 	}
 	srv := serve.New(serve.Options{
 		QueueDepth:  *queue,
-		Workers:     *workers,
 		Jobs:        *jobs,
 		CacheSize:   *cacheSize,
 		WatchBuffer: *watchBuf,
@@ -92,12 +89,6 @@ func serveCmd(ctx context.Context, args []string) error {
 		srv.Stop()
 		return ctx.Err()
 	}
-}
-
-// workerCmd is the internal protocol endpoint `serve` spawns: one JSON
-// cell-list request on stdin, NDJSON rows on stdout, logs on stderr.
-func workerCmd(ctx context.Context) error {
-	return serve.RunWorker(ctx, os.Stdin, os.Stdout)
 }
 
 // submitCmd sends one job to a running service, streams its progress to
@@ -208,13 +199,12 @@ func buildRequest(typ string, args []string) (serve.Request, error) {
 		classes := fs.String("classes", "both", "GPU classes: high, moderate, or both")
 		shards := fs.Int("shards", 0, "sharded-engine workers per cell")
 		csv := fs.Bool("csv", false, "emit CSV instead of a text table")
-		workers := fs.Int("workers", 0, "worker subprocesses (0 = daemon default, negative = in-process)")
 		if err := fs.Parse(args); err != nil {
 			return serve.Request{}, err
 		}
 		spec := &serve.SweepSpec{
 			Seeds: *seeds, Classes: *classes, Shards: *shards,
-			CSV: *csv, Workers: *workers,
+			CSV: *csv,
 		}
 		if *classes == "both" {
 			spec.Classes = ""

@@ -1,6 +1,6 @@
 // `bctool top`: a live terminal dashboard over a running experiment
 // service, fed by the /v1/watch firehose (per-job activity), /v1/healthz
-// (queue/uptime gauges) and /v1/metrics (cache and worker series). Pure
+// (queue/uptime gauges) and /v1/metrics (cache and watch series). Pure
 // observation — it only issues GETs.
 
 package main
@@ -125,10 +125,9 @@ func topCmd(ctx context.Context, args []string) error {
 		}
 		fmt.Fprintf(&b, "bctool top — %s  (version %s, up %s)\n",
 			*addr, h.Version, (time.Duration(h.UptimeSeconds * float64(time.Second))).Round(time.Second))
-		fmt.Fprintf(&b, "queue %d/%d   cache %d entries (hit ratio %.2f)   workers %g active / %g spawned   watch %g subs",
+		fmt.Fprintf(&b, "queue %d/%d   cache %d entries (hit ratio %.2f)   watch %g subs",
 			h.QueueDepth, h.QueueCapacity, h.CacheEntries,
 			m["bc_daemon_cache_hit_ratio"],
-			m["bc_daemon_workers_active"], m["bc_daemon_workers_spawned_total"],
 			m["bc_daemon_watch_subscribers"])
 		if nDrops > 0 {
 			fmt.Fprintf(&b, " (%d drop markers seen)", nDrops)

@@ -121,8 +121,7 @@ func RunSweepExec(ctx context.Context, ex Exec, cells []SweepCell) ([]SweepRow, 
 }
 
 // RunCell executes one sweep cell — a single deterministic simulation —
-// and distills its result into the cell's row. It is the unit of work the
-// worker protocol ships across process boundaries; anything that executes
+// and distills its result into the cell's row. Anything that executes
 // cells through RunCell and merges rows in canonical cell order reproduces
 // RunSweep byte-for-byte.
 func RunCell(ctx context.Context, c SweepCell) (SweepRow, error) {
@@ -238,7 +237,7 @@ func modeSlug(m Mode) string {
 }
 
 // ModeSlug is the canonical short name of a mode as it appears in sweep
-// labels, bctool flags, and the serve/worker wire protocol.
+// labels, bctool flags, and serve job specs.
 func ModeSlug(m Mode) string { return modeSlug(m) }
 
 // ParseModeSlug inverts ModeSlug. It also accepts "capi" as an alias for
@@ -261,7 +260,7 @@ func ParseModeSlug(s string) (Mode, error) {
 }
 
 // ClassSlug is the canonical short name of a GPU class as it appears in
-// sweep labels and the serve/worker wire protocol.
+// sweep labels and serve job specs.
 func ClassSlug(c GPUClass) string { return classShort(c) }
 
 // ParseClassSlug inverts ClassSlug. It also accepts the long bctool flag
@@ -275,4 +274,19 @@ func ParseClassSlug(s string) (GPUClass, error) {
 	default:
 		return 0, fmt.Errorf("harness: unknown GPU class %q (want mod or high)", s)
 	}
+}
+
+// ParseClassAxis parses a sweep's class axis — the `bctool sweep -classes`
+// flag and serve's SweepSpec.Classes: "both" (or empty, the default) is
+// both classes in the paper's order, anything else one class spelled as
+// ParseClassSlug accepts it.
+func ParseClassAxis(s string) ([]GPUClass, error) {
+	if s == "" || s == "both" {
+		return []GPUClass{HighlyThreaded, ModeratelyThreaded}, nil
+	}
+	c, err := ParseClassSlug(s)
+	if err != nil {
+		return nil, fmt.Errorf("harness: unknown GPU classes %q (want both, high or moderate)", s)
+	}
+	return []GPUClass{c}, nil
 }

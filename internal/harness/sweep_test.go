@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,8 +97,8 @@ func TestSweepDuplicateLabel(t *testing.T) {
 }
 
 // TestModeClassSlugs: the slug codecs are the wire vocabulary of sweep
-// labels and the serve/worker protocol — they must round-trip every mode
-// and class, and accept the historical flag aliases.
+// labels and serve job specs — they must round-trip every mode and class,
+// and accept the historical flag aliases.
 func TestModeClassSlugs(t *testing.T) {
 	for _, m := range []Mode{ATSOnly, FullIOMMU, CAPILike, BCNoBCC, BCBCC} {
 		got, err := ParseModeSlug(ModeSlug(m))
@@ -122,5 +123,34 @@ func TestModeClassSlugs(t *testing.T) {
 	}
 	if _, err := ParseClassSlug("warp"); err == nil {
 		t.Error(`ParseClassSlug("warp"): want error`)
+	}
+}
+
+// TestParseClassAxis: the one class-axis parser behind `bctool sweep
+// -classes` and serve's SweepSpec.Classes accepts every spelling either
+// used to, defaults to both classes, and refuses the rest.
+func TestParseClassAxis(t *testing.T) {
+	both := []GPUClass{HighlyThreaded, ModeratelyThreaded}
+	high := []GPUClass{HighlyThreaded}
+	mod := []GPUClass{ModeratelyThreaded}
+	for _, tc := range []struct {
+		in   string
+		want []GPUClass
+	}{
+		{"", both}, {"both", both},
+		{"high", high}, {"highly", high},
+		{"moderate", mod}, {"mod", mod},
+		{"warp", nil}, {"Both", nil}, {"high,mod", nil},
+	} {
+		got, err := ParseClassAxis(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseClassAxis(%q) = %v, want error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("ParseClassAxis(%q) = (%v, %v), want %v", tc.in, got, err, tc.want)
+		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 // cacheKey derives the artifact identity of a request: a domain prefix,
 // the code version (simulations are deterministic, so the same code + the
 // same request + the same traces can only produce the same artifact), the
-// canonical JSON of the request with execution-only knobs stripped, and
-// the content hash of every input trace in name order.
+// canonical JSON of the request, and the content hash of every input trace
+// in name order.
 func cacheKey(version string, req Request, traceHashes []string) (string, error) {
-	blob, err := json.Marshal(normalizeForCache(req))
+	blob, err := json.Marshal(req)
 	if err != nil {
 		return "", fmt.Errorf("serve: hashing request: %w", err)
 	}
@@ -30,18 +30,6 @@ func cacheKey(version string, req Request, traceHashes []string) (string, error)
 		io.WriteString(h, th)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// normalizeForCache strips the knobs that shape execution but — by the
-// determinism guarantees — never the artifact, so a sweep served by four
-// workers hits the entry a serial run populated.
-func normalizeForCache(req Request) Request {
-	if req.Sweep != nil {
-		s := *req.Sweep
-		s.Workers = 0
-		req.Sweep = &s
-	}
-	return req
 }
 
 // codeVersion identifies the running build for the cache key: the VCS

@@ -7,6 +7,7 @@ import (
 
 	"bordercontrol/internal/adversary"
 	"bordercontrol/internal/core"
+	"bordercontrol/internal/exp"
 	"bordercontrol/internal/harness"
 	"bordercontrol/internal/sim"
 	"bordercontrol/internal/stats"
@@ -16,10 +17,8 @@ import (
 )
 
 // Request is one job submission: a type tag plus exactly the matching
-// spec. Everything in a Request is part of the artifact's identity except
-// the execution-only knobs (SweepSpec.Workers), which the cache key
-// strips — the whole point of the determinism guarantees is that
-// execution shape never changes output.
+// spec. Everything in a Request is part of the artifact's identity: the
+// cache key hashes its canonical JSON whole.
 type Request struct {
 	// Type is "run", "sweep", "adversary" or "fleet".
 	Type      string         `json:"type"`
@@ -30,16 +29,10 @@ type Request struct {
 }
 
 // jobEnv is the execution context the server hands a spec: host
-// parallelism, the sweep fan-out configuration, a progress sink, and the
-// worker-lifecycle hooks feeding the daemon's telemetry.
+// parallelism (the exp pool's width) and a progress sink.
 type jobEnv struct {
-	jobs        int
-	workers     int
-	argv        []string
-	env         []string
-	progress    func(msg string)
-	workerStart func(worker, cells int)
-	workerExit  func(worker int, err error)
+	jobs     int
+	progress func(msg string)
 }
 
 func (e jobEnv) note(format string, args ...any) {
@@ -211,11 +204,6 @@ type SweepSpec struct {
 	Shards  int      `json:"shards,omitempty"`
 	// CSV selects the CSV rendering instead of the text table.
 	CSV bool `json:"csv,omitempty"`
-	// Workers overrides the daemon's worker-process fan-out for this job:
-	// 0 = daemon default, negative = force in-process. Execution shape
-	// only — the artifact is byte-identical at any value, and the cache
-	// key ignores it.
-	Workers int `json:"workers,omitempty"`
 	// GenSegments/GenWavefronts/GenOps shrink the synthetic generators
 	// (0 = shape default); they exist so tests and demos can run tiny
 	// grids.
@@ -286,21 +274,14 @@ func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
 	if len(s.Borders) > 0 {
 		borders = s.Borders
 		for _, b := range borders {
-			if !designKnown(b) {
+			if !core.KnownDesign(b) {
 				return nil, nil, fmt.Errorf("serve: unknown border design %q (have %v)", b, core.Designs())
 			}
 		}
 	}
-	var classes []harness.GPUClass
-	switch s.Classes {
-	case "", "both":
-		classes = []harness.GPUClass{harness.HighlyThreaded, harness.ModeratelyThreaded}
-	case "high", "highly":
-		classes = []harness.GPUClass{harness.HighlyThreaded}
-	case "moderate", "mod":
-		classes = []harness.GPUClass{harness.ModeratelyThreaded}
-	default:
-		return nil, nil, fmt.Errorf("serve: unknown classes %q (both, high, moderate)", s.Classes)
+	classes, err := harness.ParseClassAxis(s.Classes)
+	if err != nil {
+		return nil, nil, err
 	}
 	if s.Shards < 0 {
 		return nil, nil, fmt.Errorf("serve: negative shards")
@@ -313,35 +294,17 @@ func (s *SweepSpec) plan() ([]harness.SweepCell, []string, error) {
 	return cells, hashes, nil
 }
 
-func designKnown(name string) bool {
-	for _, d := range core.Designs() {
-		if d == name {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *SweepSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot, error) {
 	cells, _, err := s.plan()
 	if err != nil {
 		return "", stats.Snapshot{}, err
 	}
-	workers := s.Workers
-	if workers == 0 {
-		workers = env.workers
+	env.note("sweep: %d cells", len(cells))
+	ex := harness.Exec{Jobs: env.jobs}
+	if env.progress != nil {
+		ex.Progress = func(r exp.Result) { env.progress(cellNote(r.Name, r.Err)) }
 	}
-	if workers < 0 {
-		workers = 0
-	}
-	env.note("sweep: %d cells, workers=%d", len(cells), workers)
-	rows, err := SweepFanout(ctx, cells, FanoutConfig{
-		Workers: workers, Jobs: env.jobs,
-		Argv: env.argv, Env: env.env,
-		Progress:      env.progress,
-		OnWorkerStart: env.workerStart,
-		OnWorkerExit:  env.workerExit,
-	})
+	rows, err := harness.RunSweepExec(ctx, ex, cells)
 	if err != nil {
 		return "", stats.Snapshot{}, err
 	}
@@ -351,10 +314,19 @@ func (s *SweepSpec) run(ctx context.Context, env jobEnv) (string, stats.Snapshot
 	return harness.RenderSweep(rows), sweepRowStats(rows), nil
 }
 
-// sweepRowStats synthesizes a metrics snapshot from the merged sweep rows.
-// Worker-process fan-out moves the per-run registries into subprocesses,
-// so the daemon aggregates what crosses the wire: the row totals. Built
-// through a Registry so names come out in canonical sorted order.
+// cellNote is the progress line of one finished sweep cell.
+func cellNote(label string, err error) string {
+	if err != nil {
+		return fmt.Sprintf("cell %s: FAILED: %v", label, err)
+	}
+	return fmt.Sprintf("cell %s: ok", label)
+}
+
+// sweepRowStats synthesizes a metrics snapshot from the sweep rows.
+// RunSweepExec distills each cell's run to its row and drops the run's
+// registry, so the job's snapshot aggregates the row totals (the
+// bc_job_sweep_* series). Built through a Registry so names come out in
+// canonical sorted order.
 func sweepRowStats(rows []harness.SweepRow) stats.Snapshot {
 	var cellsC, eventsC, opsC, checksC, grantedC, deniedC stats.Counter
 	for _, r := range rows {
@@ -390,7 +362,7 @@ func (s *AdversarySpec) validate() error {
 	if s.Campaigns < 0 {
 		return fmt.Errorf("serve: negative campaigns")
 	}
-	if s.Border != "" && !designKnown(s.Border) {
+	if s.Border != "" && !core.KnownDesign(s.Border) {
 		return fmt.Errorf("serve: unknown border design %q (have %v)", s.Border, core.Designs())
 	}
 	known := map[string]bool{}

@@ -43,8 +43,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		ratio = float64(hits) / float64(hits+misses)
 	}
 	writeProm(w, "bc_daemon_cache_hit_ratio", "gauge", ratio)
-	writeProm(w, "bc_daemon_workers_spawned_total", "counter", float64(s.workersSpawned.Load()))
-	writeProm(w, "bc_daemon_workers_active", "gauge", float64(s.workersActive.Load()))
 	writeProm(w, "bc_daemon_watch_subscribers", "gauge", float64(subs))
 	writeProm(w, "bc_daemon_watch_events_total", "counter", float64(published))
 	writeProm(w, "bc_daemon_watch_dropped_total", "counter", float64(dropped))

@@ -353,8 +353,6 @@ func TestServeMetricsExposition(t *testing.T) {
 		"bc_daemon_cache_hits_total",
 		"bc_daemon_cache_misses_total",
 		"bc_daemon_cache_hit_ratio",
-		"bc_daemon_workers_spawned_total",
-		"bc_daemon_workers_active",
 		"bc_daemon_watch_subscribers",
 		"bc_daemon_watch_events_total",
 		"bc_daemon_watch_dropped_total",

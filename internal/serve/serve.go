@@ -2,9 +2,10 @@
 // HTTP/JSON daemon with a bounded job queue, typed job specs keyed to the
 // harness entry points (run, sweep, adversary, fleet), an artifact cache
 // keyed by (request, trace hashes, code version), NDJSON progress
-// streaming, cooperative cancellation, and a worker protocol that fans
-// sweep grids out across `bctool worker` subprocesses with byte-identical
-// artifacts at any worker count. See DESIGN.md §16.
+// streaming, and cooperative cancellation. Jobs run in-process on the
+// harness entry points; a sweep job's cells run on the exp pool, and its
+// artifact is byte-identical to `bctool sweep` at any pool width. See
+// DESIGN.md §16.
 //
 // The telemetry plane on top (DESIGN.md §17): structured log/slog logging
 // of the request/job lifecycle, a Prometheus-text `GET /v1/metrics`
@@ -24,29 +25,21 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bordercontrol/internal/stats"
 )
 
 // Options configures a Server. The zero value serves with sensible
-// defaults: a 32-deep queue, in-process sweeps, GOMAXPROCS parallelism,
+// defaults: a 32-deep queue, GOMAXPROCS parallelism,
 // a 128-entry artifact cache, a 1024-event watch buffer, and no logging.
 type Options struct {
 	// QueueDepth bounds accepted-but-unstarted jobs; submissions beyond it
 	// are refused with 503 rather than buffered without bound.
 	QueueDepth int
-	// Workers is the default worker-process fan-out for sweep jobs
-	// (0 = in-process; SweepSpec.Workers overrides per job).
-	Workers int
-	// Jobs bounds host parallelism within a job or worker (0 = GOMAXPROCS).
+	// Jobs bounds host parallelism within a job — the width of the exp
+	// pool its cells or campaigns run on (0 = GOMAXPROCS).
 	Jobs int
-	// WorkerArgv is the worker command (default: this executable,
-	// argument "worker"); WorkerEnv entries are appended to the inherited
-	// environment.
-	WorkerArgv []string
-	WorkerEnv  []string
 	// CacheSize bounds the artifact cache (entries; <0 disables caching,
 	// 0 = default 128).
 	CacheSize int
@@ -54,7 +47,7 @@ type Options struct {
 	// subscribers that fall further behind see an explicit drop marker.
 	WatchBuffer int
 	// Logger, when non-nil, receives structured lifecycle logs: request
-	// handling at debug, job/cache/worker lifecycle at info, queue pressure
+	// handling at debug, job/cache lifecycle at info, queue pressure
 	// and failures at warn. Nil discards everything.
 	Logger *slog.Logger
 	// Version overrides the cache key's code-version component (default:
@@ -178,10 +171,6 @@ type Server struct {
 	log     *slog.Logger
 	fh      *firehose
 
-	// Worker-subprocess telemetry, updated from fan-out goroutines.
-	workersSpawned atomic.Uint64
-	workersActive  atomic.Int64
-
 	mu        sync.Mutex
 	jobs      map[string]*Job
 	order     []string
@@ -235,7 +224,7 @@ func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discar
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // Start launches the executor goroutine. Jobs execute one at a time in
-// acceptance order — parallelism lives inside a job (Jobs/Workers), not
+// acceptance order — parallelism lives inside a job (Jobs), not
 // across jobs, so artifacts and cache state stay deterministic.
 func (s *Server) Start(ctx context.Context) {
 	s.mu.Lock()
@@ -249,7 +238,7 @@ func (s *Server) Start(ctx context.Context) {
 	runCtx := s.ctx
 	s.mu.Unlock()
 	s.log.Info("executor started",
-		"queue_capacity", cap(s.queue), "workers", s.opts.Workers, "jobs", s.opts.Jobs,
+		"queue_capacity", cap(s.queue), "jobs", s.opts.Jobs,
 		"cache_size", s.opts.CacheSize, "version", s.version)
 
 	s.wg.Add(1)
@@ -340,25 +329,9 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 	}
 
 	env := jobEnv{
-		jobs:    s.opts.Jobs,
-		workers: s.opts.Workers,
-		argv:    s.opts.WorkerArgv,
-		env:     s.opts.WorkerEnv,
+		jobs: s.opts.Jobs,
 		progress: func(msg string) {
 			j.addEvent("progress", msg)
-		},
-		workerStart: func(worker, cells int) {
-			s.workersSpawned.Add(1)
-			s.workersActive.Add(1)
-			s.log.Info("worker spawned", "job", j.ID, "worker", worker, "cells", cells)
-		},
-		workerExit: func(worker int, err error) {
-			s.workersActive.Add(-1)
-			if err != nil {
-				s.log.Warn("worker exited", "job", j.ID, "worker", worker, "err", err)
-			} else {
-				s.log.Info("worker exited", "job", j.ID, "worker", worker)
-			}
 		},
 	}
 	art, snap, err := sp.run(jctx, env)

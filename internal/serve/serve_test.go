@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -36,13 +37,14 @@ func startTestServer(t *testing.T, opts Options) (*Server, *Client) {
 }
 
 // TestServeSweepMatchesInProcess: the daemon's sweep artifact is
-// byte-identical to the same grid run directly, and a second identical
+// byte-identical to the same grid run directly at any pool width, the job
+// streams exactly one progress event per cell, and a second identical
 // submission is served from the artifact cache — marked cached, same
 // bytes, with a cache event in the stream.
 func TestServeSweepMatchesInProcess(t *testing.T) {
-	_, c := startTestServer(t, Options{Version: "test"})
 	ctx := context.Background()
 	req := tinySweepRequest()
+	req.Sweep.Traffic = []string{"bursty", "stream"}
 
 	cells, _, err := req.Sweep.plan()
 	if err != nil {
@@ -54,61 +56,80 @@ func TestServeSweepMatchesInProcess(t *testing.T) {
 	}
 	want := harness.SweepCSV(rows)
 
-	if err := c.WaitReady(ctx, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.Stream(ctx, st.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || final.Cached {
-		t.Fatalf("first run: state=%s cached=%v, want done/uncached", final.State, final.Cached)
-	}
-	art, err := c.Artifact(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art != want {
-		t.Errorf("served artifact differs from in-process sweep:\n--- want\n%s--- got\n%s", want, art)
-	}
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			_, c := startTestServer(t, Options{Jobs: jobs, Version: "test"})
+			if err := c.WaitReady(ctx, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			st, err := c.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			notes := map[string]int{}
+			final, err := c.Stream(ctx, st.ID, func(e Event) {
+				if e.Type == "progress" && strings.HasPrefix(e.Msg, "cell ") {
+					notes[e.Msg]++
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.State != StateDone || final.Cached {
+				t.Fatalf("first run: state=%s cached=%v, want done/uncached", final.State, final.Cached)
+			}
+			for _, cell := range cells {
+				if n := notes[cellNote(cell.Label, nil)]; n != 1 {
+					t.Errorf("cell %s: %d progress events, want 1", cell.Label, n)
+				}
+			}
+			if len(notes) != len(cells) {
+				t.Errorf("got %d distinct cell notes %v, want one per cell (%d)", len(notes), notes, len(cells))
+			}
+			art, err := c.Artifact(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if art != want {
+				t.Errorf("served artifact differs from in-process sweep:\n--- want\n%s--- got\n%s", want, art)
+			}
 
-	// Second identical submission: cache hit, no re-execution, same bytes.
-	st2, err := c.Submit(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawCacheEvent bool
-	final2, err := c.Stream(ctx, st2.ID, func(e Event) {
-		if e.Type == "cache" {
-			sawCacheEvent = true
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final2.State != StateDone || !final2.Cached {
-		t.Fatalf("second run: state=%s cached=%v, want done/cached", final2.State, final2.Cached)
-	}
-	if !sawCacheEvent {
-		t.Error("second run: no cache event in stream")
-	}
-	art2, err := c.Artifact(ctx, st2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art2 != art {
-		t.Error("cached artifact differs from the original")
+			// Second identical submission: cache hit, no re-execution, same
+			// bytes.
+			st2, err := c.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sawCacheEvent bool
+			final2, err := c.Stream(ctx, st2.ID, func(e Event) {
+				if e.Type == "cache" {
+					sawCacheEvent = true
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final2.State != StateDone || !final2.Cached {
+				t.Fatalf("second run: state=%s cached=%v, want done/cached", final2.State, final2.Cached)
+			}
+			if !sawCacheEvent {
+				t.Error("second run: no cache event in stream")
+			}
+			art2, err := c.Artifact(ctx, st2.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if art2 != art {
+				t.Error("cached artifact differs from the original")
+			}
+		})
 	}
 }
 
-// TestServeWorkersDontChangeCacheKey: SweepSpec.Workers is execution
-// shape, not artifact identity — a request differing only in Workers hits
-// the same cache entry.
-func TestServeWorkersDontChangeCacheKey(t *testing.T) {
+// TestServeCacheKey: the cache key is artifact identity — a generator
+// knob that changes the grid changes the key, and so does the code
+// version.
+func TestServeCacheKey(t *testing.T) {
 	req := tinySweepRequest()
 	_, hashes, err := req.Sweep.plan()
 	if err != nil {
@@ -119,24 +140,15 @@ func TestServeWorkersDontChangeCacheKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	req2 := tinySweepRequest()
-	req2.Sweep.Workers = 4
+	req2.Sweep.GenOps = 128
 	k2, err := cacheKey("v", req2, hashes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k1 != k2 {
-		t.Error("cache key depends on Workers")
-	}
-	req3 := tinySweepRequest()
-	req3.Sweep.GenOps = 128
-	k3, err := cacheKey("v", req3, hashes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k3 == k1 {
+	if k2 == k1 {
 		t.Error("cache key ignores a generator knob that changes the grid")
 	}
-	if k4, _ := cacheKey("v2", req, hashes); k4 == k1 {
+	if k3, _ := cacheKey("v2", req, hashes); k3 == k1 {
 		t.Error("cache key ignores the code version")
 	}
 }
